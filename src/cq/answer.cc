@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 
+#include "csp/bag_materialiser.h"
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
+#include "csp/yannakakis.h"
 #include "ghd/ghw_from_ordering.h"
 #include "ordering/heuristics.h"
 #include "util/check.h"
@@ -98,108 +100,56 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
     }
   }
 
-  // Decompose the query hypergraph (min-fill + exact covers) and complete
-  // it so every atom is enforced at some node.
+  // Decompose the query hypergraph (min-fill + exact covers). Every atom
+  // lies inside some bag, which is all bag materialisation needs.
   Hypergraph h = q.QueryHypergraph();
   GhwEvaluator eval(h);
   Rng rng(7);
   EliminationOrdering sigma = MinFillOrdering(eval.primal(), &rng);
   GeneralizedHypertreeDecomposition ghd =
       eval.BuildGhd(sigma, CoverMode::kExact);
-  ghd.MakeComplete(h);
   if (stats != nullptr) stats->decomposition_width = ghd.Width();
+  const TreeDecomposition& td = ghd.td();
+  const int m = td.NumNodes();
 
-  int m = ghd.NumNodes();
-  // Root the decomposition tree and compute orders.
-  std::vector<std::vector<int>> children(m);
-  std::vector<int> parent(m, -1), order = {0};
-  {
-    std::vector<bool> seen(m, false);
-    seen[0] = true;
-    for (size_t i = 0; i < order.size(); ++i) {
-      for (int qn : ghd.td().TreeNeighbors(order[i])) {
-        if (!seen[qn]) {
-          seen[qn] = true;
-          parent[qn] = order[i];
-          children[order[i]].push_back(qn);
-          order.push_back(qn);
-        }
-      }
-    }
-    HT_CHECK(static_cast<int>(order.size()) == m);
-  }
-
-  // Node relations: pi_chi(join of lambda atom relations). Independent
-  // per node, so the bag joins fan out over the pool; per-node tuple
-  // counts are collected into slots and summed afterwards so the stats
-  // are deterministic under any schedule.
-  std::vector<Relation> rel(m);
-  std::vector<long> node_tuples(m, 0);
-  RunForAll(m, pool, [&ghd, &bound, &rel, &node_tuples, pool](int p) {
-    const std::vector<int>& lambda = ghd.Lambda(p);
-    HT_CHECK(!lambda.empty() || ghd.td().Bag(p).None());
-    // Chunked join chain: atom-join intermediates beyond the memory
-    // budget spill to disk; the projection streams them back morsel by
-    // morsel, so only the projected bag is ever fully resident.
-    ChunkedRelation acc;
-    bool first = true;
-    for (int e : lambda) {
-      acc = first ? ChunkedRelation(bound[e])
-                  : EngineJoinChunked(acc, bound[e], pool);
-      first = false;
-    }
-    std::vector<int> chi = ghd.td().Bag(p).ToVector();
-    if (first) {
-      rel[p] = Relation(chi);
-      rel[p].AddTuple({});
-    } else {
-      rel[p] = EngineProjectChunked(acc, chi, pool);
-    }
-    node_tuples[p] = rel[p].Size();
+  // Node relations: one MaterializeBag per bag, every atom meeting the bag
+  // a filter. Independent per node, so the bags fan out over the pool.
+  RelationTree tree;
+  tree.relations.resize(m);
+  RootTree(m, td.TreeEdges(), &tree.parent, &tree.root);
+  std::vector<const Relation*> atoms;
+  for (const Relation& r : bound) atoms.push_back(&r);
+  RunForAll(m, pool, [&tree, &td, &atoms, pool](int p) {
+    tree.relations[p] = MaterializeBag(td.Bag(p).ToVector(), atoms, pool);
   });
-
-  // Full Yannakakis reduction: in-place semijoins, parallel across
-  // independent subtrees (each node only reads already-reduced
-  // neighbors; see csp/tree_schedule.h).
-  RunTreeBottomUp(parent, children, pool, [&children, &rel, pool](int node) {
-    for (int c : children[node]) {
-      EngineSemijoinInPlace(&rel[node], rel[c], pool);
-    }
-  });
-  RunTreeTopDown(parent, children, pool, [&parent, &rel, pool](int node) {
-    if (parent[node] != -1) {
-      EngineSemijoinInPlace(&rel[node], rel[parent[node]], pool);
-    }
-  });
-
-  // Head variables contained in each subtree.
-  Bitset head_bits(h.NumVertices());
-  for (int v : head_ids) head_bits.Set(v);
-  std::vector<Bitset> sub_head(m, Bitset(h.NumVertices()));
-  for (size_t i = order.size(); i-- > 0;) {
-    int node = order[i];
-    sub_head[node] = ghd.td().Bag(node) & head_bits;
-    for (int c : children[node]) sub_head[node] |= sub_head[c];
-  }
+  long node_tuples = 0;
+  for (const Relation& r : tree.relations) node_tuples += r.Size();
+  const bool consistent = FullReduce(&tree, pool);
+  if (stats != nullptr) stats->intermediate_tuples += node_tuples;
+  if (!consistent) return Relation(head_ids);
+  const std::vector<std::vector<int>> children = ChildLists(tree.parent);
 
   // Bottom-up join with projection onto connector + subtree-head vars
   // (children finish before their parent joins them, so subtrees run
   // concurrently).
+  Bitset head_bits(h.NumVertices());
+  for (int v : head_ids) head_bits.Set(v);
+  std::vector<Bitset> sub_head(m);
   std::vector<Relation> answers(m);
   std::vector<long> join_tuples(m, 0);
-  RunTreeBottomUp(parent, children, pool,
-                  [&parent, &children, &rel, &answers, &join_tuples,
-                   &sub_head, &ghd, pool](int node) {
-    Relation acc = rel[node];
+  RunTreeBottomUp(tree.parent, children, pool,
+                  [&tree, &children, &answers, &join_tuples, &sub_head, &td,
+                   &head_bits, pool](int node) {
+    sub_head[node] = td.Bag(node) & head_bits;
+    Relation acc = tree.relations[node];
     for (int c : children[node]) {
+      sub_head[node] |= sub_head[c];
       acc = EngineJoin(acc, answers[c], pool);
       join_tuples[node] += acc.Size();
     }
     Bitset keep = sub_head[node];
-    if (parent[node] != -1) {
-      keep |= ghd.td().Bag(node) & ghd.td().Bag(parent[node]);
-    }
-    // Projection: keep only schema vars that are in `keep`.
+    const int parent = tree.parent[node];
+    if (parent != -1) keep |= td.Bag(node) & td.Bag(parent);
     std::vector<int> proj;
     for (int v : acc.schema()) {
       if (keep.Test(v)) proj.push_back(v);
@@ -207,23 +157,10 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
     answers[node] = acc.Project(proj);
   });
   if (stats != nullptr) {
-    for (int p = 0; p < m; ++p) {
-      stats->intermediate_tuples += node_tuples[p] + join_tuples[p];
-    }
+    for (long t : join_tuples) stats->intermediate_tuples += t;
   }
-
-  Relation result = answers[order[0]].Project(head_ids);
-  // Boolean query: empty schema — represent "true" as one empty tuple.
-  if (head_ids.empty()) {
-    Relation boolean(std::vector<int>{});
-    bool satisfiable = true;
-    for (int p = 0; p < m; ++p) {
-      if (rel[p].Empty() && ghd.td().Bag(p).Any()) satisfiable = false;
-    }
-    if (satisfiable && !answers[order[0]].Empty()) boolean.AddTuple({});
-    return boolean;
-  }
-  return result;
+  // A Boolean query has an empty schema: "true" is one empty tuple.
+  return answers[tree.root].Project(head_ids);
 }
 
 std::optional<Relation> BruteForceAnswer(const ConjunctiveQuery& q,

@@ -1,7 +1,8 @@
 // Conjunctive-query answering through generalized hypertree
 // decompositions: the end-to-end pipeline of the paper. The query's
-// hypergraph is decomposed, node relations are materialized as
-// pi_chi(join of lambda atoms), Yannakakis reduces the tree, and answers
+// hypergraph is decomposed, node relations are materialized over chi
+// from every atom meeting the bag (MaterializeBag, within the bag's AGM
+// bound), Yannakakis reduces the tree, and answers
 // are assembled bottom-up with projections onto connector + head
 // variables — output-polynomial for bounded-width queries.
 

@@ -73,10 +73,7 @@ class KeyWeightTable {
 long long CountRelationTree(const RelationTree& tree, ThreadPool* pool) {
   int m = static_cast<int>(tree.relations.size());
   if (m == 0) return 1;  // the empty join has exactly one (empty) answer
-  std::vector<std::vector<int>> children(m);
-  for (int p = 0; p < m; ++p) {
-    if (tree.parent[p] != -1) children[tree.parent[p]].push_back(p);
-  }
+  const std::vector<std::vector<int>> children = ChildLists(tree.parent);
 
   // weight[p][t] = number of consistent completions of tuple t within the
   // subtree of p. Children are aggregated before their parent runs, so
@@ -131,23 +128,7 @@ long long CountViaGhd(const Csp& csp,
 }
 
 long long CountAcyclicCsp(const Csp& csp, ThreadPool* pool) {
-  Hypergraph h = csp.ConstraintHypergraph();
-  std::optional<JoinTree> jt = BuildJoinTree(h);
-  HT_CHECK_MSG(jt.has_value(), "constraint hypergraph is not alpha-acyclic");
-  RelationTree tree;
-  tree.parent = jt->parent;
-  tree.root = jt->root;
-  tree.relations.resize(h.NumEdges());
-  for (int c = 0; c < csp.NumConstraints(); ++c) {
-    tree.relations[c] = csp.GetConstraint(c).relation;
-  }
-  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
-    std::vector<int> vars = h.EdgeVertices(e);
-    Relation r(vars);
-    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    tree.relations[e] = std::move(r);
-  }
-  return CountRelationTree(tree, pool);
+  return CountRelationTree(AcyclicCspTree(csp), pool);
 }
 
 }  // namespace hypertree

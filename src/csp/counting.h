@@ -31,8 +31,8 @@ long long CountViaTreeDecomposition(const Csp& csp,
                                     const TreeDecomposition& td,
                                     ThreadPool* pool = nullptr);
 
-/// Number of solutions of `csp`, counted over a (completed) GHD of its
-/// constraint hypergraph.
+/// Number of solutions of `csp`, counted over a GHD of its constraint
+/// hypergraph (every scope inside some bag; lambda is not read).
 long long CountViaGhd(const Csp& csp,
                       const GeneralizedHypertreeDecomposition& ghd,
                       ThreadPool* pool = nullptr);

@@ -34,6 +34,13 @@ class Csp {
   int DomainSize(int var) const { return domain_sizes_[var]; }
   void SetDomainSize(int var, int size) { domain_sizes_[var] = size; }
 
+  /// The unary relation {0, ..., DomainSize(var)-1} over `var`.
+  Relation DomainRelation(int var) const {
+    Relation r({var});
+    for (int val = 0; val < DomainSize(var); ++val) r.AddRow(&val);
+    return r;
+  }
+
   /// Adds a constraint; the relation's schema must equal `scope`.
   void AddConstraint(std::vector<int> scope, Relation relation,
                      std::string name = "");

@@ -1,8 +1,9 @@
 // Solving CSPs from tree decompositions and from complete generalized
 // hypertree decompositions (thesis §2.4): materialize one subproblem
-// relation per decomposition node, then run Yannakakis on the resulting
-// join tree. Runtime O(n d^{w+1}) for a width-w tree decomposition and
-// |I|^{k+1} log |I| for a width-k GHD.
+// relation per decomposition node (MaterializeBag, csp/bag_materialiser.h),
+// then run Yannakakis on the resulting join tree. Each bag costs at most
+// its AGM bound: O(n d^{w+1}) for a width-w tree decomposition and
+// |I|^{k+1} log |I| for a width-k GHD (|I|^{fhw} with fractional covers).
 //
 // All entry points take an optional ThreadPool: the per-node bag joins are
 // independent and run in parallel, and the Yannakakis passes parallelize
@@ -30,17 +31,16 @@ struct DecompositionSolveStats {
 };
 
 /// Join-tree-clustering solve: every decomposition bag becomes the
-/// relation of all bag assignments consistent with the constraints whose
-/// scope lies inside the bag. `td` must be a valid tree decomposition of
-/// the CSP's constraint hypergraph.
+/// relation of all in-domain bag assignments consistent with every
+/// constraint meeting the bag (projected onto the bag). `td` must be a
+/// valid tree decomposition of the CSP's constraint hypergraph.
 std::optional<std::vector<int>> SolveViaTreeDecomposition(
     const Csp& csp, const TreeDecomposition& td,
     DecompositionSolveStats* stats = nullptr, ThreadPool* pool = nullptr);
 
-/// GHD solve: the decomposition is completed (Lemma 2), every node's
-/// relation is the join of its lambda constraint relations projected onto
-/// chi, and Yannakakis finishes the job. `ghd` must be valid for the
-/// CSP's constraint hypergraph.
+/// GHD solve: every node's relation is materialized over chi exactly as
+/// in the TD route (lambda is not read), and Yannakakis finishes the job. `ghd` must be valid for the CSP's
+/// constraint hypergraph (every scope inside some bag; checked).
 std::optional<std::vector<int>> SolveViaGhd(
     const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
     DecompositionSolveStats* stats = nullptr, ThreadPool* pool = nullptr);
@@ -53,8 +53,8 @@ RelationTree BuildRelationTreeFromTd(const Csp& csp,
                                      const TreeDecomposition& td,
                                      ThreadPool* pool = nullptr);
 
-/// Materializes the per-node relations of a (completed copy of) `ghd`,
-/// in parallel when a pool is given.
+/// Materializes the per-node relations of `ghd`, in parallel when a pool
+/// is given.
 RelationTree BuildRelationTreeFromGhd(
     const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
     ThreadPool* pool = nullptr);

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <mutex>
 
@@ -122,6 +123,7 @@ void SpillFile::WriteAt(long long offset, const void* data, size_t bytes) {
   long long off = offset;
   while (left > 0) {
     const ssize_t n = ::pwrite(fd_, p, left, off);
+    if (n < 0 && errno == EINTR) continue;
     HT_CHECK_MSG(n > 0, "morsel engine: spill write failed");
     p += n;
     off += n;
@@ -135,65 +137,12 @@ void SpillFile::ReadAt(long long offset, void* data, size_t bytes) const {
   long long off = offset;
   while (left > 0) {
     const ssize_t n = ::pread(fd_, p, left, off);
+    if (n < 0 && errno == EINTR) continue;
     HT_CHECK_MSG(n > 0, "morsel engine: spill read failed");
     p += n;
     off += n;
     left -= static_cast<size_t>(n);
   }
-}
-
-long ChunkedRelation::TotalRows() const {
-  return spilled_ ? total_rows_ : static_cast<long>(rel_.Size());
-}
-
-int ChunkedRelation::NumChunks() const {
-  if (spilled_) return static_cast<int>(chunks_.size());
-  return static_cast<int>(
-      (static_cast<long>(rel_.Size()) + kMorselRows - 1) / kMorselRows);
-}
-
-int ChunkedRelation::ChunkRows(int i) const {
-  if (spilled_) return chunks_[static_cast<size_t>(i)].rows;
-  const long lo = static_cast<long>(i) * kMorselRows;
-  const long hi =
-      std::min<long>(lo + kMorselRows, static_cast<long>(rel_.Size()));
-  return static_cast<int>(hi - lo);
-}
-
-const int* ChunkedRelation::LoadChunk(int i, std::vector<int>* scratch) const {
-  if (!spilled_) {
-    if (rel_.Arity() == 0 || rel_.Empty()) return rel_.data().data();
-    return rel_.Row(i * kMorselRows);
-  }
-  const Chunk& c = chunks_[static_cast<size_t>(i)];
-  const size_t values = static_cast<size_t>(c.rows) * schema_.size();
-  scratch->resize(values);
-  if (values > 0) {
-    file_->ReadAt(c.offset, scratch->data(), values * sizeof(int));
-  }
-  return scratch->data();
-}
-
-void ChunkedRelation::FinishChunks() {
-  long total = 0;
-  for (const Chunk& c : chunks_) total += c.rows;
-  total_rows_ = total;
-}
-
-Relation ChunkedRelation::ToRelation() && {
-  if (!spilled_) return std::move(rel_);
-  Relation out(schema_);
-  out.Reserve(static_cast<int>(total_rows_));
-  std::vector<int> scratch;
-  const int arity = Arity();
-  for (int i = 0; i < NumChunks(); ++i) {
-    const int rows = ChunkRows(i);
-    const int* data = LoadChunk(i, &scratch);
-    for (int r = 0; r < rows; ++r) {
-      out.AddRow(data + static_cast<size_t>(r) * arity);
-    }
-  }
-  return out;
 }
 
 }  // namespace hypertree

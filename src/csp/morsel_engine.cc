@@ -17,28 +17,6 @@ namespace hypertree {
 
 namespace {
 
-// Hot-path counters, resolved once (shared names with relation.cc: the
-// registry hands back the same counter object per name).
-metrics::Counter& RowsJoined() {
-  static metrics::Counter& c = metrics::GetCounter("relation.rows_joined");
-  return c;
-}
-metrics::Counter& RowsSemijoinDropped() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.rows_semijoin_dropped");
-  return c;
-}
-metrics::Counter& ProbeCollisions() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.probe_collisions");
-  return c;
-}
-metrics::Counter& BytesAllocated() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.bytes_allocated");
-  return c;
-}
-
 // Dense-table span caps: above these the direct-indexed arrays stop
 // paying for their footprint (join keeps two int32 arrays per key slot,
 // semijoin one bit). Fixed constants so the dense/hash decision — and
@@ -79,51 +57,6 @@ int PosOf(const std::vector<int>& schema, int var) {
   return -1;
 }
 
-// Uniform chunk iteration over a resident Relation (kMorselRows views
-// into the flat buffer, zero copy) or a ChunkedRelation (resident or
-// spilled).
-struct ChunkSource {
-  const Relation* rel = nullptr;
-  const ChunkedRelation* ck = nullptr;
-
-  explicit ChunkSource(const Relation& r) : rel(&r) {}
-  explicit ChunkSource(const ChunkedRelation& c) {
-    if (c.spilled()) {
-      ck = &c;
-    } else {
-      rel = &c.rel();
-    }
-  }
-
-  const std::vector<int>& schema() const {
-    return rel != nullptr ? rel->schema() : ck->schema();
-  }
-  int arity() const { return static_cast<int>(schema().size()); }
-  long rows() const {
-    return rel != nullptr ? static_cast<long>(rel->Size()) : ck->TotalRows();
-  }
-  int nchunks() const {
-    if (rel != nullptr) {
-      return static_cast<int>((rows() + kMorselRows - 1) / kMorselRows);
-    }
-    return ck->NumChunks();
-  }
-  int chunk_rows(int i) const {
-    if (rel != nullptr) {
-      const long lo = static_cast<long>(i) * kMorselRows;
-      return static_cast<int>(std::min<long>(kMorselRows, rows() - lo));
-    }
-    return ck->ChunkRows(i);
-  }
-  const int* load(int i, std::vector<int>* scratch) const {
-    if (rel != nullptr) {
-      if (rel->Arity() == 0 || rel->Empty()) return rel->data().data();
-      return rel->Row(i * kMorselRows);
-    }
-    return ck->LoadChunk(i, scratch);
-  }
-};
-
 // Full-buffer value range (empty buffer: {0, 0} — the same neutral
 // start the pre-engine JoinKeyTable range scan used). The contiguous
 // scan vectorizes and at most over-estimates the needed bits.
@@ -137,23 +70,6 @@ ValueRange ScanValues(const int* p, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     v.mn = std::min(v.mn, p[i]);
     v.mx = std::max(v.mx, p[i]);
-  }
-  return v;
-}
-
-ValueRange ScanSource(const ChunkSource& a) {
-  if (a.rel != nullptr) {
-    return ScanValues(a.rel->data().data(), a.rel->data().size());
-  }
-  ValueRange v;
-  std::vector<int> scratch;
-  const int arity = a.arity();
-  for (int i = 0; i < a.nchunks(); ++i) {
-    const int rows = a.chunk_rows(i);
-    const ValueRange c = ScanValues(a.load(i, &scratch),
-                                    static_cast<size_t>(rows) * arity);
-    v.mn = std::min(v.mn, c.mn);
-    v.mx = std::max(v.mx, c.mx);
   }
   return v;
 }
@@ -199,21 +115,6 @@ void PackRelationKeys(const Relation& r, const std::vector<int>& pos,
   }
   *out_min = mn;
   *out_max = mx;
-}
-
-Relation Materialize(const ChunkSource& a) {
-  Relation out(a.schema());
-  out.Reserve(static_cast<int>(a.rows()));
-  std::vector<int> scratch;
-  const int arity = a.arity();
-  for (int i = 0; i < a.nchunks(); ++i) {
-    const int rows = a.chunk_rows(i);
-    const int* data = a.load(i, &scratch);
-    for (int r = 0; r < rows; ++r) {
-      out.AddRow(data + static_cast<size_t>(r) * arity);
-    }
-  }
-  return out;
 }
 
 // Per-morsel probe scratch (local to one ParallelFor iteration).
@@ -384,8 +285,7 @@ long EmitJoinChunk(const int* data, int rows, int arity, const int* pa,
   return collisions;
 }
 
-ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
-                         ThreadPool* pool, bool allow_spill) {
+Relation JoinImpl(const Relation& a, const Relation& b, ThreadPool* pool) {
   const std::vector<int>& sa = a.schema();
   std::vector<int> pa;
   std::vector<int> pb;
@@ -398,99 +298,47 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
       extra.push_back(static_cast<int>(j));
     }
   }
-  if (a.rows() == 0 || b.Empty()) {
-    return ChunkedRelation(Relation(std::move(out_schema)));
-  }
-  const int bits = PlanBits(pa.size(), ScanSource(a),
+  if (a.Empty() || b.Empty()) return Relation(std::move(out_schema));
+  const int bits = PlanBits(pa.size(),
+                            ScanValues(a.data().data(), a.data().size()),
                             ScanValues(b.data().data(), b.data().size()));
   if (bits == 0) {
     // Generic fallback: the pre-engine row-hash join.
-    if (a.rel != nullptr) {
-      return ChunkedRelation(RelationInternal::JoinGeneric(*a.rel, b));
-    }
-    Relation ra = Materialize(a);
-    return ChunkedRelation(RelationInternal::JoinGeneric(ra, b));
+    return RelationInternal::JoinGeneric(a, b);
   }
 
   const JoinTable t = BuildJoinTable(b, pb, bits, pool);
-  const int nchunks = a.nchunks();
-  const int arity = a.arity();
+  const int rows_a = a.Size();
+  const int nchunks = (rows_a + kMorselRows - 1) / kMorselRows;
+  const int arity = a.Arity();
+  auto chunk = [&a](int i) { return a.Row(i * kMorselRows); };
+  auto chunk_rows = [rows_a](int i) {
+    return std::min(kMorselRows, rows_a - i * kMorselRows);
+  };
   std::vector<long> counts(static_cast<size_t>(nchunks), 0);
   ParallelFor(nchunks, pool, [&](int i) {
     ChunkBufs bufs;
-    std::vector<int> scratch;
-    counts[i] = CountJoinChunk(a.load(i, &scratch), a.chunk_rows(i), arity,
-                               pa.data(), t, &bufs);
+    counts[i] = CountJoinChunk(chunk(i), chunk_rows(i), arity, pa.data(), t,
+                               &bufs);
   });
   std::vector<long> offs(static_cast<size_t>(nchunks) + 1, 0);
   for (int i = 0; i < nchunks; ++i) offs[i + 1] = offs[i] + counts[i];
   const long total = offs[nchunks];
   const size_t out_arity = out_schema.size();
-  const long long out_bytes =
-      static_cast<long long>(total) * static_cast<long long>(out_arity) *
-      static_cast<long long>(sizeof(int));
-  const long long budget = MemoryBudget();
   std::atomic<long> collisions{0};
-
-  if (allow_spill && budget > 0 && out_bytes > budget) {
-    // Larger-than-core output: every chunk spills (the decision is made
-    // once, from the exact pre-pass total, so chunk contents never
-    // depend on residency or schedule).
-    auto file = std::make_shared<SpillFile>();
-    file->Open();
-    SpillFile* fp = file.get();
-    ChunkedRelation out(out_schema, std::move(file));
-    out.ResizeChunks(nchunks);
-    ChunkedRelation* outp = &out;
-    ParallelFor(nchunks, pool, [&](int i) {
-      if (counts[i] == 0) {
-        outp->SetChunk(i, 0, 0);
-        return;
-      }
-      HT_CHECK_LE(counts[i], static_cast<long>(INT32_MAX))
-          << "spilled join chunk exceeds the per-chunk row-count limit";
-      ChunkBufs bufs;
-      std::vector<int> scratch;
-      std::vector<int> buf(static_cast<size_t>(counts[i]) * out_arity);
-      long emitted = 0;
-      const long c =
-          EmitJoinChunk(a.load(i, &scratch), a.chunk_rows(i), arity,
-                        pa.data(), t, b, extra, buf.data(), &emitted, &bufs);
-      collisions.fetch_add(c, std::memory_order_relaxed);
-      HT_CHECK_EQ(emitted, counts[i])
-          << "join emitted a different row count than its exact-size "
-             "pre-pass";
-      // Reserve a disjoint file range and write this chunk's rows.
-      // (Allocation order is schedule-dependent; chunk contents and the
-      // chunk-index mapping are not.)
-      const long long bytes =
-          static_cast<long long>(buf.size()) * sizeof(int);
-      const long long off = fp->Allocate(bytes);
-      fp->WriteAt(off, buf.data(), static_cast<size_t>(bytes));
-      outp->SetChunk(i, off, static_cast<int>(counts[i]));
-    });
-    out.FinishChunks();
-    SpillPartitions().Add(nchunks);
-    SpillBytes().Add(static_cast<long>(out_bytes));
-    RowsJoined().Add(total);
-    const long coll = collisions.load(std::memory_order_relaxed);
-    if (coll > 0) ProbeCollisions().Add(coll);
-    return out;
-  }
 
   Relation out(out_schema);
   std::vector<int>& data = RelationInternal::Data(out);
   HT_CHECK_LE(total, static_cast<long>(INT32_MAX))
-      << "resident join output exceeds the row-count limit";
+      << "join output exceeds the row-count limit";
   data.resize(static_cast<size_t>(total) * out_arity);
   RelationInternal::Rows(out) = static_cast<int>(total);
   ParallelFor(nchunks, pool, [&](int i) {
     if (counts[i] == 0) return;
     ChunkBufs bufs;
-    std::vector<int> scratch;
     long emitted = 0;
     const long c = EmitJoinChunk(
-        a.load(i, &scratch), a.chunk_rows(i), arity, pa.data(), t, b, extra,
+        chunk(i), chunk_rows(i), arity, pa.data(), t, b, extra,
         data.data() + static_cast<size_t>(offs[i]) * out_arity, &emitted,
         &bufs);
     collisions.fetch_add(c, std::memory_order_relaxed);
@@ -502,7 +350,7 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
   const long coll = collisions.load(std::memory_order_relaxed);
   if (coll > 0) ProbeCollisions().Add(coll);
   RelationInternal::CheckRep(out);
-  return ChunkedRelation(std::move(out));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -745,7 +593,7 @@ void PackedSemijoin(Relation* left, const Relation& right,
 // Project.
 // ---------------------------------------------------------------------------
 
-Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
+Relation ProjectImpl(const Relation& a, const std::vector<int>& vars,
                      ThreadPool* pool) {
   const std::vector<int>& sa = a.schema();
   std::vector<int> positions;
@@ -756,16 +604,12 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
     positions.push_back(idx);
   }
   const int k = static_cast<int>(positions.size());
-  const long rows = a.rows();
+  const long rows = a.Size();
   if (rows == 0) return Relation(vars);
-  const int bits = PlanBits(positions.size(), ScanSource(a), ValueRange{});
-  if (bits == 0) {
-    if (a.rel != nullptr) {
-      return RelationInternal::ProjectGeneric(*a.rel, vars);
-    }
-    Relation ra = Materialize(a);
-    return RelationInternal::ProjectGeneric(ra, vars);
-  }
+  const int bits =
+      PlanBits(positions.size(), ScanValues(a.data().data(), a.data().size()),
+               ValueRange{});
+  if (bits == 0) return RelationInternal::ProjectGeneric(a, vars);
 
   Relation out(vars);
   std::vector<int>& out_data = RelationInternal::Data(out);
@@ -796,8 +640,12 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
   }
   out_data.reserve(static_cast<size_t>(reserve_rows) * k);
 
-  const int nchunks = a.nchunks();
-  const int arity = a.arity();
+  const int nchunks = static_cast<int>((rows + kMorselRows - 1) / kMorselRows);
+  const int arity = a.Arity();
+  auto chunk = [&a](int i) { return a.Row(i * kMorselRows); };
+  auto chunk_rows = [rows](int i) {
+    return static_cast<int>(std::min<long>(kMorselRows, rows - i * kMorselRows));
+  };
   const kernels::Ops& ops = kernels::Active();
   const long long budget = MemoryBudget();
   // Pre-packing every chunk in parallel keeps the pool busy but holds
@@ -813,23 +661,21 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
   if (prepack) {
     chunk_keys.resize(static_cast<size_t>(nchunks));
     ParallelFor(nchunks, pool, [&](int i) {
-      std::vector<int> scratch;
-      const int n = a.chunk_rows(i);
+      const int n = chunk_rows(i);
       chunk_keys[i].resize(static_cast<size_t>(n));
       uint64_t mn = 0;
       uint64_t mx = 0;
-      ops.PackKeys(chunk_keys[i].data(), a.load(i, &scratch),
+      ops.PackKeys(chunk_keys[i].data(), chunk(i),
                    static_cast<size_t>(arity), positions.data(), k, bits, n,
                    &mn, &mx);
     });
   }
 
   long collisions = 0;
-  std::vector<int> scratch;
   std::vector<uint64_t> keybuf;
   std::vector<int> decoded(static_cast<size_t>(k));
   for (int i = 0; i < nchunks; ++i) {
-    const int n = a.chunk_rows(i);
+    const int n = chunk_rows(i);
     const uint64_t* keys;
     if (prepack) {
       keys = chunk_keys[i].data();
@@ -837,7 +683,7 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
       keybuf.resize(static_cast<size_t>(n));
       uint64_t mn = 0;
       uint64_t mx = 0;
-      ops.PackKeys(keybuf.data(), a.load(i, &scratch),
+      ops.PackKeys(keybuf.data(), chunk(i),
                    static_cast<size_t>(arity), positions.data(), k, bits, n,
                    &mn, &mx);
       keys = keybuf.data();
@@ -889,12 +735,7 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
 }  // namespace
 
 Relation EngineJoin(const Relation& a, const Relation& b, ThreadPool* pool) {
-  return JoinImpl(ChunkSource(a), b, pool, /*allow_spill=*/false).TakeRel();
-}
-
-ChunkedRelation EngineJoinChunked(const ChunkedRelation& a, const Relation& b,
-                                  ThreadPool* pool) {
-  return JoinImpl(ChunkSource(a), b, pool, /*allow_spill=*/true);
+  return JoinImpl(a, b, pool);
 }
 
 void EngineSemijoinInPlace(Relation* left, const Relation& right,
@@ -920,13 +761,7 @@ void EngineSemijoinInPlace(Relation* left, const Relation& right,
 
 Relation EngineProject(const Relation& r, const std::vector<int>& vars,
                        ThreadPool* pool) {
-  return ProjectImpl(ChunkSource(r), vars, pool);
-}
-
-Relation EngineProjectChunked(const ChunkedRelation& a,
-                              const std::vector<int>& vars,
-                              ThreadPool* pool) {
-  return ProjectImpl(ChunkSource(a), vars, pool);
+  return ProjectImpl(r, vars, pool);
 }
 
 }  // namespace hypertree

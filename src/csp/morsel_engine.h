@@ -18,12 +18,13 @@
 //   generic the pre-engine row-hash path (relation.cc), for keys that
 //           do not pack (negative values, > 64 bits total).
 //
-// Larger-than-core: when the per-query MemoryBudget() is exceeded, join
-// outputs spill to a temp file as ChunkedRelation chunks, and semijoin
-// build sides grace-partition (radix on the packed-key hash) to disk,
-// each partition processed independently. Spill decisions are pure
-// functions of exact pre-pass sizes, so answers stay bit-identical
-// spill-on and spill-off (docs/SOLVING.md).
+// Larger-than-core: when a semijoin build table exceeds the per-query
+// MemoryBudget(), the build side grace-partitions (radix on the
+// packed-key hash) to disk, each partition processed independently.
+// Spill decisions are pure functions of exact sizes, so answers stay
+// bit-identical spill-on and spill-off (docs/SOLVING.md). Bags are
+// materialised at their output size (csp/bag_materialiser.h), so no
+// join intermediate needs to spill.
 
 #ifndef HYPERTREE_CSP_MORSEL_ENGINE_H_
 #define HYPERTREE_CSP_MORSEL_ENGINE_H_
@@ -39,7 +40,7 @@ class ThreadPool;
 
 /// Natural join (probe side a, build side b); same contract as
 /// Relation::Join plus morsel parallelism over `pool` (nullptr: the
-/// calling thread processes every morsel). Output is always resident.
+/// calling thread processes every morsel).
 Relation EngineJoin(const Relation& a, const Relation& b, ThreadPool* pool);
 
 /// In-place semijoin; same contract as Relation::SemijoinInPlace plus
@@ -52,18 +53,6 @@ void EngineSemijoinInPlace(Relation* left, const Relation& right,
 /// morsel-parallel key packing.
 Relation EngineProject(const Relation& r, const std::vector<int>& vars,
                        ThreadPool* pool);
-
-/// Join with a chunked (possibly spilled) probe side: the larger-than-
-/// core join-chain primitive. The output spills when its exact
-/// pre-pass size exceeds MemoryBudget(), otherwise it is resident.
-ChunkedRelation EngineJoinChunked(const ChunkedRelation& a, const Relation& b,
-                                  ThreadPool* pool);
-
-/// Projection over a chunked relation, streaming one chunk at a time
-/// (peak memory is one chunk plus the dedup table, not the full input).
-/// The output (a decomposition bag) is always resident.
-Relation EngineProjectChunked(const ChunkedRelation& a,
-                              const std::vector<int>& vars, ThreadPool* pool);
 
 }  // namespace hypertree
 

@@ -4,33 +4,12 @@
 #include <utility>
 
 #include "csp/morsel_engine.h"
+#include "csp/relation_internal.h"
 #include "util/check.h"
-#include "util/metrics.h"
 
 namespace hypertree {
 
 namespace {
-
-// Hot-path counters, resolved once (see src/util/metrics.h).
-metrics::Counter& RowsJoined() {
-  static metrics::Counter& c = metrics::GetCounter("relation.rows_joined");
-  return c;
-}
-metrics::Counter& RowsSemijoinDropped() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.rows_semijoin_dropped");
-  return c;
-}
-metrics::Counter& ProbeCollisions() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.probe_collisions");
-  return c;
-}
-metrics::Counter& BytesAllocated() {
-  static metrics::Counter& c =
-      metrics::GetCounter("relation.bytes_allocated");
-  return c;
-}
 
 size_t NextPow2AtLeast(size_t n) {
   size_t cap = 16;

@@ -72,6 +72,43 @@ void DCheckForest(const std::vector<int>& parent,
 
 }  // namespace
 
+void RootTree(int num_nodes, const std::vector<std::pair<int, int>>& edges,
+              std::vector<int>* parent, int* root) {
+  std::vector<std::vector<int>> adj(num_nodes);
+  for (auto [a, b] : edges) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  }
+  parent->assign(num_nodes, -1);
+  *root = 0;
+  if (num_nodes == 0) return;
+  std::vector<bool> seen(num_nodes, false);
+  std::vector<int> stack = {0};
+  seen[0] = true;
+  int reached = 1;
+  while (!stack.empty()) {
+    int p = stack.back();
+    stack.pop_back();
+    for (int q : adj[p]) {
+      if (!seen[q]) {
+        seen[q] = true;
+        (*parent)[q] = p;
+        stack.push_back(q);
+        ++reached;
+      }
+    }
+  }
+  HT_CHECK_EQ(reached, num_nodes) << "decomposition tree is not connected";
+}
+
+std::vector<std::vector<int>> ChildLists(const std::vector<int>& parent) {
+  std::vector<std::vector<int>> children(parent.size());
+  for (size_t p = 0; p < parent.size(); ++p) {
+    if (parent[p] != -1) children[parent[p]].push_back(static_cast<int>(p));
+  }
+  return children;
+}
+
 void RunTreeBottomUp(const std::vector<int>& parent,
                      const std::vector<std::vector<int>>& children,
                      ThreadPool* pool,

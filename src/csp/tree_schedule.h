@@ -10,11 +10,21 @@
 #define HYPERTREE_CSP_TREE_SCHEDULE_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace hypertree {
 
 class ThreadPool;
+
+/// Roots the tree on `num_nodes` nodes with undirected `edges` at node 0:
+/// fills *parent (-1 at the root) and *root. Every node must be reachable.
+void RootTree(int num_nodes, const std::vector<std::pair<int, int>>& edges,
+              std::vector<int>* parent, int* root);
+
+/// Child lists of a rooted forest given by parent pointers (-1 at roots),
+/// each in ascending node order.
+std::vector<std::vector<int>> ChildLists(const std::vector<int>& parent);
 
 /// Calls visit(node) once per node with every child visited before its
 /// parent. With a pool (> 1 thread) independent subtrees run in parallel;

@@ -10,24 +10,10 @@
 
 namespace hypertree {
 
-std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
-                                                         ThreadPool* pool) {
-  int m = static_cast<int>(tree.relations.size());
-  if (m == 0) return std::unordered_map<int, int>{};
-  HT_CHECK(static_cast<int>(tree.parent.size()) == m);
-  // Topological order: parents before children (BFS from the root(s)).
-  std::vector<std::vector<int>> children(m);
-  for (int p = 0; p < m; ++p) {
-    if (tree.parent[p] != -1) children[tree.parent[p]].push_back(p);
-  }
-  std::vector<int> order;
-  order.push_back(tree.root);
-  for (size_t i = 0; i < order.size(); ++i) {
-    for (int c : children[order[i]]) order.push_back(c);
-  }
-  HT_CHECK_MSG(static_cast<int>(order.size()) == m,
-               "relation tree is not a single tree");
-
+bool FullReduce(RelationTree* tree, ThreadPool* pool) {
+  std::vector<Relation>& rel = tree->relations;
+  const std::vector<int>& parent = tree->parent;
+  const std::vector<std::vector<int>> children = ChildLists(parent);
   // Bottom-up semijoin pass: each node filters itself against its fully
   // reduced children (in-place, child-index order). Every visit runs to
   // completion even after a wipeout elsewhere: the filters are
@@ -39,32 +25,41 @@ std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
   // ParallelFor lets idle pool threads steal them, so one huge bag no
   // longer serializes the whole pass. Counter totals and survivors are
   // schedule-independent (see morsel.h), keeping the pass deterministic.
-  RunTreeBottomUp(tree.parent, children, pool,
-                  [&tree, &children, &wiped, pool](int node) {
+  RunTreeBottomUp(parent, children, pool,
+                  [&rel, &children, &wiped, pool](int node) {
     for (int c : children[node]) {
-      EngineSemijoinInPlace(&tree.relations[node], tree.relations[c], pool);
+      EngineSemijoinInPlace(&rel[node], rel[c], pool);
     }
-    if (tree.relations[node].Empty()) {
-      wiped.store(true, std::memory_order_relaxed);
-    }
+    if (rel[node].Empty()) wiped.store(true, std::memory_order_relaxed);
   });
   // Relaxed is sufficient on both ends: the traversal's Wait() already
   // orders every store before this load.
-  if (wiped.load(std::memory_order_relaxed) ||
-      tree.relations[tree.root].Empty()) {
-    return std::nullopt;
-  }
-  // Top-down semijoin pass (full reduction): each node filters itself
-  // against its already reduced parent.
-  RunTreeTopDown(tree.parent, children, pool, [&tree, &wiped, pool](int node) {
-    if (tree.parent[node] == -1) return;
-    EngineSemijoinInPlace(&tree.relations[node],
-                          tree.relations[tree.parent[node]], pool);
-    if (tree.relations[node].Empty()) {
-      wiped.store(true, std::memory_order_relaxed);
-    }
+  if (wiped.load(std::memory_order_relaxed)) return false;
+  // Top-down semijoin pass: each node filters itself against its
+  // already reduced parent.
+  RunTreeTopDown(parent, children, pool, [&rel, &parent, &wiped, pool](int node) {
+    if (parent[node] == -1) return;
+    EngineSemijoinInPlace(&rel[node], rel[parent[node]], pool);
+    if (rel[node].Empty()) wiped.store(true, std::memory_order_relaxed);
   });
-  if (wiped.load(std::memory_order_relaxed)) return std::nullopt;
+  return !wiped.load(std::memory_order_relaxed);
+}
+
+std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
+                                                         ThreadPool* pool) {
+  int m = static_cast<int>(tree.relations.size());
+  if (m == 0) return std::unordered_map<int, int>{};
+  HT_CHECK(static_cast<int>(tree.parent.size()) == m);
+  // Topological order: parents before children (BFS from the root).
+  const std::vector<std::vector<int>> children = ChildLists(tree.parent);
+  std::vector<int> order;
+  order.push_back(tree.root);
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (int c : children[order[i]]) order.push_back(c);
+  }
+  HT_CHECK_MSG(static_cast<int>(order.size()) == m,
+               "relation tree is not a single tree");
+  if (!FullReduce(&tree, pool)) return std::nullopt;
   // Extraction: pick any root tuple, then for each child a tuple agreeing
   // with the values fixed so far (guaranteed to exist after reduction).
   // Fixed values live in a dense array over variable ids: the scan below
@@ -103,8 +98,7 @@ std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
   return assignment;
 }
 
-std::optional<std::vector<int>> SolveAcyclicCsp(const Csp& csp,
-                                                ThreadPool* pool) {
+RelationTree AcyclicCspTree(const Csp& csp) {
   Hypergraph h = csp.ConstraintHypergraph();
   std::optional<JoinTree> jt = BuildJoinTree(h);
   HT_CHECK_MSG(jt.has_value(), "constraint hypergraph is not alpha-acyclic");
@@ -118,14 +112,14 @@ std::optional<std::vector<int>> SolveAcyclicCsp(const Csp& csp,
     tree.relations[c] = csp.GetConstraint(c).relation;
   }
   for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
-    // Free-variable edge: a unary relation enumerating the domain.
-    std::vector<int> vars = h.EdgeVertices(e);
-    HT_CHECK(vars.size() == 1);
-    Relation r(vars);
-    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    tree.relations[e] = std::move(r);
+    tree.relations[e] = csp.DomainRelation(h.EdgeVertices(e)[0]);
   }
-  auto assignment = AcyclicSolve(std::move(tree), pool);
+  return tree;
+}
+
+std::optional<std::vector<int>> SolveAcyclicCsp(const Csp& csp,
+                                                ThreadPool* pool) {
+  auto assignment = AcyclicSolve(AcyclicCspTree(csp), pool);
   if (!assignment.has_value()) return std::nullopt;
   std::vector<int> out(csp.NumVariables(), 0);
   for (auto [var, val] : *assignment) out[var] = val;

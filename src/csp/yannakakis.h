@@ -32,6 +32,14 @@ struct RelationTree {
   int root = 0;
 };
 
+/// Full reduction, the two semijoin passes of Yannakakis: bottom-up (each
+/// node filtered by its reduced children), then, unless a relation became
+/// empty, top-down (each node filtered by its reduced parent). Returns
+/// false when some relation is empty — no consistent tuple combination
+/// exists. With a pool, independent subtrees run in parallel; the reduced
+/// relations are bit-identical for any thread count.
+bool FullReduce(RelationTree* tree, ThreadPool* pool = nullptr);
+
 /// Full-reduction Yannakakis: bottom-up semijoins (emptiness detected),
 /// top-down semijoins, then greedy top-down extraction. Returns an
 /// assignment var -> value for every variable appearing in some schema, or
@@ -40,6 +48,11 @@ struct RelationTree {
 /// is identical to the sequential one.
 std::optional<std::unordered_map<int, int>> AcyclicSolve(
     RelationTree tree, ThreadPool* pool = nullptr);
+
+/// The join tree of an alpha-acyclic CSP (via GYO): one node per
+/// constraint, holding its relation, plus one domain relation per
+/// variable in no constraint.
+RelationTree AcyclicCspTree(const Csp& csp);
 
 /// Convenience for acyclic CSPs: builds the join tree via GYO, attaches
 /// the constraint relations, and runs AcyclicSolve. The CSP's constraint

@@ -1,10 +1,10 @@
 // Randomized equivalence and determinism tests for the morsel-driven
 // join engine (src/csp/morsel_engine.h): every engine mode — dense,
-// hash, generic-fallback, pooled, chunked and spilled — must produce
+// hash, generic-fallback, pooled and grace-partitioned — must produce
 // the exact output (values AND row order) of a naive reference, and the
 // same bytes whatever the thread count or memory budget. The spill
-// byte-identity cases here are the ones scripts/run_asan_checks.sh and
-// the CI low-memory job lean on (docs/SOLVING.md).
+// byte-identity case here is the one scripts/run_asan_checks.sh and the
+// CI low-memory job lean on (docs/SOLVING.md).
 
 #include "csp/morsel_engine.h"
 
@@ -232,84 +232,6 @@ TEST_F(MorselEngineTest, ProjectMatchesNaiveAllModes) {
       ExpectSame(want, EngineProject(a, vars, &pool));
       ExpectSame(want, a.Project(vars));
     }
-  }
-}
-
-TEST_F(MorselEngineTest, ChunkedRoundTripResidentAndSpilled) {
-  Rng rng(4);
-  Relation a = RandomRelation({0, 1, 2}, 10000, 0, 50, &rng);
-  // Resident chunking views the flat buffer.
-  ChunkedRelation resident{Relation(a)};
-  EXPECT_FALSE(resident.spilled());
-  EXPECT_EQ(static_cast<long>(a.Size()), resident.TotalRows());
-  // Spilled form: write the same rows chunk by chunk, read them back.
-  auto file = std::make_shared<SpillFile>();
-  file->Open();
-  ChunkedRelation spilled(a.schema(), file);
-  spilled.ResizeChunks(resident.NumChunks());
-  std::vector<int> scratch;
-  for (int i = 0; i < resident.NumChunks(); ++i) {
-    const int rows = resident.ChunkRows(i);
-    const int* data = resident.LoadChunk(i, &scratch);
-    const long long bytes =
-        static_cast<long long>(rows) * a.Arity() * sizeof(int);
-    const long long off = file->Allocate(bytes);
-    file->WriteAt(off, data, static_cast<size_t>(bytes));
-    spilled.SetChunk(i, off, rows);
-  }
-  spilled.FinishChunks();
-  EXPECT_TRUE(spilled.spilled());
-  EXPECT_EQ(resident.TotalRows(), spilled.TotalRows());
-  std::vector<int> scratch2;
-  for (int i = 0; i < resident.NumChunks(); ++i) {
-    ASSERT_EQ(resident.ChunkRows(i), spilled.ChunkRows(i));
-    const int* want = resident.LoadChunk(i, &scratch);
-    const int* got = spilled.LoadChunk(i, &scratch2);
-    const size_t values =
-        static_cast<size_t>(resident.ChunkRows(i)) * a.Arity();
-    EXPECT_EQ(0, std::memcmp(want, got, values * sizeof(int)));
-  }
-  Relation back = std::move(spilled).ToRelation();
-  ExpectSame(a, back);
-}
-
-TEST_F(MorselEngineTest, SpilledJoinChainBitIdenticalToUnlimited) {
-  // The satellite spill test: a join chain big enough to blow a tiny
-  // budget must spill (nonzero relation.spill counters) and still
-  // produce byte-identical projected output, pooled or not.
-  Rng rng(5);
-  ThreadPool pool(4);
-  Relation r1 = RandomRelation({0, 1}, 4000, 0, 40, &rng);
-  Relation r2 = RandomRelation({1, 2}, 4000, 0, 40, &rng);
-  Relation r3 = RandomRelation({2, 3}, 300, 0, 40, &rng);
-  const std::vector<int> chi = {0, 3};
-
-  auto chain = [&](ThreadPool* p) {
-    ChunkedRelation acc{Relation(r1)};
-    acc = EngineJoinChunked(acc, r2, p);
-    acc = EngineJoinChunked(acc, r3, p);
-    return EngineProjectChunked(acc, chi, p);
-  };
-
-  SetMemoryBudget(0);
-  const Relation unlimited = chain(nullptr);
-
-  SetMemoryBudget(64 << 10);  // 64 KiB: the r1⋈r2 intermediate exceeds it
-  const long spills_before = SpillPartitions().Value();
-  const Relation tiny = chain(nullptr);
-  EXPECT_GT(SpillPartitions().Value(), spills_before)
-      << "budgeted chain never spilled — the test lost its point";
-  ExpectSame(unlimited, tiny);
-
-  const Relation tiny_pooled = chain(&pool);
-  ExpectSame(unlimited, tiny_pooled);
-
-  // Randomized sweep: random budgets from absurdly small on up must
-  // never change a byte.
-  for (int trial = 0; trial < 6; ++trial) {
-    SetMemoryBudget(1 + static_cast<long long>(rng.UniformInt(1 << 20)));
-    SCOPED_TRACE("budget=" + std::to_string(MemoryBudget()));
-    ExpectSame(unlimited, chain(trial % 2 == 0 ? &pool : nullptr));
   }
 }
 

@@ -19,9 +19,10 @@
 //                     backend for the decomposition inner loops
 //                     (default auto; see docs/KERNELS.md)
 //   --memory-budget=B per-query memory budget for the join engine, with
-//                     an optional k/m/g suffix ("256m", "4g"). Join
-//                     intermediates above it spill to disk; answers are
-//                     bit-identical either way (docs/SOLVING.md).
+//                     an optional k/m/g suffix ("256m", "4g").
+//                     Semijoin tables above it spill to disk (bags stay
+//                     resident); answers are bit-identical either way
+//                     (docs/SOLVING.md).
 //                     Overrides HYPERTREE_MEMORY_BUDGET; 0 = unlimited.
 //   --json            print machine-readable JSON records (the BENCH.json
 //                     schema, see docs/BENCHMARKS.md) instead of text
