@@ -219,9 +219,8 @@ struct KernelFixture {
 };
 
 // N-way OR-reduce over a row arena, one call per iteration, per
-// backend. 300 rows x 4096 bits crosses the batched backend's sharding
-// thresholds; the 64-bit shape shows the small-instance dispatch cost
-// the inline call-site fast paths avoid (docs/KERNELS.md).
+// backend. The 64-bit shape shows the small-instance dispatch cost the
+// inline call-site fast paths avoid (docs/KERNELS.md).
 void BM_KernelOrReduce(benchmark::State& state, kernels::Backend backend) {
   const kernels::Ops& ops = kernels::GetOps(backend);
   KernelFixture fx(300, static_cast<int>(state.range(0)), 21);
@@ -234,18 +233,13 @@ void BM_KernelOrReduce(benchmark::State& state, kernels::Backend backend) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(ops.name);
 }
-// The two wide arguments (256k / 1M bits = 4096 / 16384 words) bracket
-// kMinColumnsToShard so the column-sharding crossover is visible.
 BENCHMARK_CAPTURE(BM_KernelOrReduce, scalar, kernels::Backend::kScalar)
     ->Arg(64)->Arg(4096)->Arg(262144)->Arg(1048576);
 BENCHMARK_CAPTURE(BM_KernelOrReduce, avx2, kernels::Backend::kAvx2)
     ->Arg(64)->Arg(4096)->Arg(262144)->Arg(1048576);
-BENCHMARK_CAPTURE(BM_KernelOrReduce, batched, kernels::Backend::kBatched)
-    ->Arg(64)->Arg(4096)->Arg(262144)->Arg(1048576);
 
-// Row-sharded scoring: the nrows sweep at a fixed 4096-bit universe (64
-// words) brackets kMinRowsToShard * kMinWordsToShard, the product guard
-// shared by ScoreRows / MaxIntersect / FilterRowsNotSubset.
+// Candidate scoring: an nrows sweep at a fixed 4096-bit universe (64
+// words).
 void BM_KernelScoreRows(benchmark::State& state, kernels::Backend backend) {
   const kernels::Ops& ops = kernels::GetOps(backend);
   const int nrows = static_cast<int>(state.range(0));
@@ -264,8 +258,6 @@ void BM_KernelScoreRows(benchmark::State& state, kernels::Backend backend) {
 BENCHMARK_CAPTURE(BM_KernelScoreRows, scalar, kernels::Backend::kScalar)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK_CAPTURE(BM_KernelScoreRows, avx2, kernels::Backend::kAvx2)
-    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK_CAPTURE(BM_KernelScoreRows, batched, kernels::Backend::kBatched)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 // Batched BFS: filtered frontier expansion + commit, the two-primitive
@@ -296,14 +288,9 @@ BENCHMARK_CAPTURE(BM_KernelBatchedBfs, scalar, kernels::Backend::kScalar)
     ->Arg(64)->Arg(4096);
 BENCHMARK_CAPTURE(BM_KernelBatchedBfs, avx2, kernels::Backend::kAvx2)
     ->Arg(64)->Arg(4096);
-BENCHMARK_CAPTURE(BM_KernelBatchedBfs, batched, kernels::Backend::kBatched)
-    ->Arg(64)->Arg(4096);
 
 // Key-pipeline kernels (morsel join engine): big-endian key packing and
-// hash-table probing per backend. The size sweep brackets the batched
-// shard threshold so the scalar/avx2-vs-batched crossover — the basis
-// for kMinKeysToShard in kernels.cc — can be read off one run (see
-// docs/KERNELS.md, "Calibrating the batched shard thresholds").
+// hash-table probing per backend, from one morsel (4096 rows) up.
 void BM_KernelPackKeys(benchmark::State& state, kernels::Backend backend) {
   const kernels::Ops& ops = kernels::GetOps(backend);
   const int nrows = static_cast<int>(state.range(0));
@@ -328,8 +315,6 @@ void BM_KernelPackKeys(benchmark::State& state, kernels::Backend backend) {
 BENCHMARK_CAPTURE(BM_KernelPackKeys, scalar, kernels::Backend::kScalar)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
 BENCHMARK_CAPTURE(BM_KernelPackKeys, avx2, kernels::Backend::kAvx2)
-    ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
-BENCHMARK_CAPTURE(BM_KernelPackKeys, batched, kernels::Backend::kBatched)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
 
 void BM_KernelProbeKeys(benchmark::State& state, kernels::Backend backend) {
@@ -367,8 +352,6 @@ void BM_KernelProbeKeys(benchmark::State& state, kernels::Backend backend) {
 BENCHMARK_CAPTURE(BM_KernelProbeKeys, scalar, kernels::Backend::kScalar)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
 BENCHMARK_CAPTURE(BM_KernelProbeKeys, avx2, kernels::Backend::kAvx2)
-    ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
-BENCHMARK_CAPTURE(BM_KernelProbeKeys, batched, kernels::Backend::kBatched)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Arg(262144);
 
 // Candidate-separator generation (one OR sweep + decorate-sort).

@@ -20,7 +20,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 
 tests=(thread_pool_test decomp_cache_test search_acceleration_test
        relation_kernel_test parallel_yannakakis_test shared_bounds_test
-       portfolio_test kernels_tsan_test morsel_engine_test
+       portfolio_test morsel_engine_test
        bag_materialiser_test)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${tests[@]}"
 

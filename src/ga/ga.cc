@@ -55,7 +55,7 @@ GaResult RunPermutationGa(int num_genes, const FitnessFn& fitness,
 
   std::vector<Individual> next(n);
   for (int iter = 0; iter < config.max_iterations; ++iter) {
-    if (deadline.Expired()) break;
+    if (deadline.Expired() || config.cancel.Cancelled()) break;
     res.iterations = iter + 1;
     // Tournament selection.
     for (int i = 0; i < n; ++i) {

@@ -16,6 +16,7 @@
 #include "ga/crossover.h"
 #include "ga/mutation.h"
 #include "ordering/ordering.h"
+#include "util/thread_pool.h"
 
 namespace hypertree {
 
@@ -31,6 +32,10 @@ struct GaConfig {
   MutationOp mutation = MutationOp::kIsm;
   uint64_t seed = 1;
   double time_limit_seconds = 0.0;  // <= 0: unlimited
+  /// Cooperative external cancellation, polled once per generation;
+  /// Cancel() makes the run return its best ordering so far as if the
+  /// time limit had expired.
+  CancellationToken cancel;
   /// Orderings injected into the initial population (the rest is random).
   /// The thesis GA starts fully random; seeding with greedy orderings is
   /// the standard fix for its weakness on chain-structured hypergraphs

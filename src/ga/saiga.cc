@@ -73,11 +73,14 @@ SaigaResult SaigaGhw(const Hypergraph& h, const SaigaConfig& config,
 
   int n = config.island_population;
   std::vector<Individual> next(n);
-  for (int epoch = 0; epoch < config.epochs && !deadline.Expired(); ++epoch) {
+  auto stopped = [&deadline, &config] {
+    return deadline.Expired() || config.cancel.Cancelled();
+  };
+  for (int epoch = 0; epoch < config.epochs && !stopped(); ++epoch) {
     for (Island& isl : islands) {
       isl.best_fitness = isl.pop[0].fitness;
       for (int gen = 0; gen < config.generations_per_epoch; ++gen) {
-        if (deadline.Expired()) break;
+        if (stopped()) break;
         ++res.ga.iterations;
         // Tournament selection.
         for (int i = 0; i < n; ++i) {

@@ -17,6 +17,7 @@
 #include "ga/ga.h"
 #include "ghd/ghw_from_ordering.h"
 #include "hypergraph/hypergraph.h"
+#include "util/thread_pool.h"
 
 namespace hypertree {
 
@@ -29,6 +30,9 @@ struct SaigaConfig {
   int generations_per_epoch = 20;   // GA iterations between migrations
   uint64_t seed = 1;
   double time_limit_seconds = 0.0;
+  /// Cooperative external cancellation, polled once per generation (see
+  /// GaConfig::cancel).
+  CancellationToken cancel;
 };
 
 /// Result of a SAIGA run, including the final adapted parameters of the

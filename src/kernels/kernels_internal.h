@@ -1,7 +1,6 @@
 // Internal seams between the kernel backends. The raw tables here are
 // uncounted (no metrics): the public dispatch layer in kernels.cc wraps
-// them with per-backend row counters, and the batched backend composes
-// its shards out of the range primitives without double-counting.
+// them with per-backend row counters.
 //
 // Nothing outside src/kernels/ may include this header.
 
@@ -12,59 +11,15 @@
 
 namespace hypertree::kernels::internal {
 
-/// Half-open range primitives the batched backend shards over workers.
-/// Each call touches only its own output slots (counts[lo, hi), out_mask
-/// words [wlo, whi), dst words [clo, chi)), so concurrent shards never
-/// overlap.
-struct RangeOps {
-  /// counts[i] = popcount(rows[idx ? idx[i] : i] & conn) for i in [lo, hi).
-  void (*ScoreRowsRange)(int* counts, const uint64_t* rows, size_t stride,
-                         const int* idx, int lo, int hi, const uint64_t* conn,
-                         int nwords);
-  /// max over r in [lo, hi) of popcount(rows[r] & conn); 0 for empty range.
-  int (*MaxIntersectRange)(const uint64_t* rows, size_t stride, int lo,
-                           int hi, const uint64_t* conn, int nwords);
-  /// FilterRowsNotSubset restricted to mask words [wlo, whi); writes only
-  /// out_mask[wlo, whi).
-  void (*FilterRowsNotSubsetRange)(uint64_t* out_mask, const uint64_t* rows,
-                                   size_t stride, const uint64_t* mask,
-                                   int wlo, int whi, const uint64_t* b,
-                                   int nwords);
-  /// OR-reduce restricted to dst word columns [clo, chi): dst[clo, chi) =
-  /// OR over mask rows of row[clo, chi). Returns the number of rows OR'd
-  /// (identical for every column shard).
-  int (*OrReduceColumns)(uint64_t* dst, int clo, int chi,
-                         const uint64_t* rows, size_t stride,
-                         const uint64_t* mask, int mask_words);
-  /// PackKeys restricted to rows [lo, hi); writes keys[lo, hi) and the
-  /// min / max packed key of that row range (empty: min = ~0, max = 0).
-  void (*PackKeysRange)(uint64_t* keys, const int* rows, size_t stride,
-                        const int* pos, int k, int bits, int lo, int hi,
-                        uint64_t* out_min, uint64_t* out_max);
-  /// ProbeKeys restricted to rows [lo, hi); writes out_val[lo, hi) and
-  /// returns that range's probe-collision count.
-  long (*ProbeKeysRange)(int32_t* out_val, const uint64_t* keys, int lo,
-                         int hi, const uint64_t* slot_keys,
-                         const int32_t* slot_vals, uint64_t mask);
-};
-
 /// Uncounted scalar reference ops (the bit-identity oracle).
 const Ops& ScalarRaw();
-const RangeOps& ScalarRange();
 
 /// Uncounted AVX2 ops. Defined unconditionally; only valid to call when
 /// HaveAvx2() is true (otherwise they are never selected).
 const Ops& Avx2Raw();
-const RangeOps& Avx2Range();
 
 /// Compile-time + runtime AVX2 availability (false on non-x86 builds).
 bool HaveAvx2();
-
-/// The best single-threaded raw table on this machine (AVX2 when
-/// available, else scalar). The batched backend delegates per-shard
-/// arithmetic here.
-const Ops& SimdRaw();
-const RangeOps& SimdRange();
 
 }  // namespace hypertree::kernels::internal
 

@@ -39,7 +39,8 @@ LocalSearchResult RunLocalSearch(int num_genes, const FitnessFn& fitness,
 
   double temperature = config.initial_temperature;
   int stagnation = 0;
-  while (res.evaluations < config.max_evaluations && !deadline.Expired()) {
+  while (res.evaluations < config.max_evaluations && !deadline.Expired() &&
+         !config.cancel.Cancelled()) {
     EliminationOrdering candidate = current;
     RandomMove(&candidate, &rng);
     int fit = fitness(candidate);

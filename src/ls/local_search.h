@@ -15,6 +15,7 @@
 #include "graph/graph.h"
 #include "hypergraph/hypergraph.h"
 #include "ordering/ordering.h"
+#include "util/thread_pool.h"
 
 namespace hypertree {
 
@@ -31,6 +32,9 @@ struct LocalSearchConfig {
   long max_evaluations = 20000;
   uint64_t seed = 1;
   double time_limit_seconds = 0.0;
+  /// Cooperative external cancellation, polled once per move (see
+  /// GaConfig::cancel).
+  CancellationToken cancel;
   // Simulated annealing schedule.
   double initial_temperature = 2.0;
   double cooling = 0.999;

@@ -154,6 +154,7 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       GaConfig cfg;
       cfg.seed = opts.seed;
       cfg.time_limit_seconds = opts.time_limit_seconds;
+      cfg.cancel = token;
       cfg.population_size = 64;
       cfg.max_iterations =
           budget_nodes > 0
@@ -171,6 +172,7 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       SaigaConfig cfg;
       cfg.seed = opts.seed;
       cfg.time_limit_seconds = opts.time_limit_seconds;
+      cfg.cancel = token;
       cfg.epochs = 4;
       cfg.generations_per_epoch = 10;
       SaigaResult r = SaigaGhw(h, cfg);
@@ -184,6 +186,7 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       LocalSearchConfig cfg;
       cfg.seed = opts.seed;
       cfg.time_limit_seconds = opts.time_limit_seconds;
+      cfg.cancel = token;
       if (budget_nodes > 0)
         cfg.max_evaluations = std::min<long>(cfg.max_evaluations, budget_nodes);
       LocalSearchResult r = LsGhw(h, cfg);
@@ -289,9 +292,9 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
         EngineOutcome& out = outcomes[i];
         out.stats = pr.engines[i];
         // Supersede cancellation from lower-indexed provers, merged with
-        // the caller's external token (request deadline / shutdown). The
-        // exact engines poll the combined token in their inner loops; the
-        // heuristic engines bound their run by time_limit_seconds.
+        // the caller's external token (request deadline / shutdown). Every
+        // engine polls the combined token: the exact searches in their
+        // inner loops, the heuristics once per generation or move.
         CancellationToken token = CancellationToken::AnyOf(
             shared.TokenFor(static_cast<int>(i)), options.cancel);
         if (token.Cancelled()) {

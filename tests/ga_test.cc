@@ -135,5 +135,33 @@ TEST(GaTest, TimeLimitRespected) {
   EXPECT_GE(res.best_fitness, 6);
 }
 
+TEST(GaTest, PreCancelledTokenStopsBeforeFirstGeneration) {
+  GaConfig cfg = SmallConfig(13);
+  cfg.population_size = 10;
+  cfg.max_iterations = 1000;
+  cfg.cancel.Cancel();
+  GaResult res = GaTreewidth(GridGraph(4, 4), cfg);
+  EXPECT_EQ(res.iterations, 0);
+  EXPECT_EQ(res.evaluations, 10);  // the initial population only
+  EXPECT_TRUE(IsValidOrdering(res.best, 16));
+}
+
+TEST(GaTest, CancelMidRunStopsAtNextGeneration) {
+  GaConfig cfg = SmallConfig(14);
+  cfg.population_size = 10;
+  cfg.max_iterations = 1000;
+  Graph g = GridGraph(4, 4);
+  long calls = 0;
+  CancellationToken cancel = cfg.cancel;
+  FitnessFn fitness = [&](const EliminationOrdering& sigma) {
+    // Cancelled halfway through generation 1's evaluations.
+    if (++calls == 15) cancel.Cancel();
+    return EvaluateOrderingWidth(g, sigma);
+  };
+  GaResult res = RunPermutationGa(16, fitness, cfg);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_EQ(res.evaluations, 20);
+}
+
 }  // namespace
 }  // namespace hypertree

@@ -1,9 +1,9 @@
 // Randomized cross-backend equivalence for the kernel layer: every
 // kernels::Ops primitive must produce byte-identical outputs (including
-// the zero padding of the padded-capacity contract) on scalar, AVX2 and
-// batched backends, over ragged universe sizes that hit the word
+// the zero padding of the padded-capacity contract) on the scalar and
+// AVX2 backends, over ragged universe sizes that hit the word
 // boundaries (0, 1, 63, 64, 65, 127 bits) and a multi-lane size (4096
-// bits) large enough to cross the batched backend's sharding thresholds.
+// bits) that runs AVX2's full 256-bit lane loops.
 
 #include "kernels/kernels.h"
 
@@ -71,17 +71,16 @@ RowArena RandomRows(int bits, int nrows, Rng* rng) {
   return a;
 }
 
-const Backend kBackends[] = {Backend::kScalar, Backend::kAvx2,
-                             Backend::kBatched};
+const Backend kBackends[] = {Backend::kScalar, Backend::kAvx2};
 
 struct Shape {
   int bits;
   int nrows;
 };
 
-// The word-boundary shapes plus one multi-lane shape that crosses the
-// batched backend's row and word sharding thresholds (1200 rows x 64
-// words > kMinRowsToShard / kMinWordsToShard).
+// The word-boundary shapes plus two multi-lane shapes (64 words per
+// row); the 1200-row one spans many mask words and leaves a ragged tail
+// in AVX2's four-rows-per-vector loops.
 const Shape kShapes[] = {{0, 0},  {1, 1},    {63, 7},    {64, 64},
                          {65, 9}, {127, 33}, {4096, 12}, {4096, 1200}};
 
@@ -138,9 +137,6 @@ TEST(KernelsEquivalence, AllOpsMatchScalarOnRaggedShapes) {
       std::vector<uint64_t> ref_and = PaddedBuffer(nwords);
       int ref_and_n = ref.AndCount(ref_and.data(), conn.data(), filt.data(),
                                    nwords);
-      std::vector<uint64_t> ref_andnot = PaddedBuffer(nwords);
-      int ref_andnot_n = ref.AndNotCount(ref_andnot.data(), conn.data(),
-                                         filt.data(), nwords);
       int ref_ic = ref.IntersectCount(conn.data(), filt.data(), nwords);
       bool ref_empty = ref.AndNotIsEmpty(conn.data(), filt.data(), nwords);
 
@@ -192,11 +188,6 @@ TEST(KernelsEquivalence, AllOpsMatchScalarOnRaggedShapes) {
                   ops.AndCount(out.data(), conn.data(), filt.data(), nwords));
         EXPECT_EQ(ref_and, out);
 
-        out = PaddedBuffer(nwords);
-        EXPECT_EQ(ref_andnot_n, ops.AndNotCount(out.data(), conn.data(),
-                                                filt.data(), nwords));
-        EXPECT_EQ(ref_andnot, out);
-
         EXPECT_EQ(ref_ic,
                   ops.IntersectCount(conn.data(), filt.data(), nwords));
         EXPECT_EQ(ref_empty,
@@ -212,9 +203,9 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
   // engine's relation.probe_collisions totals are part of the
   // determinism contract, see tests/parallel_yannakakis_test.cc).
   Rng rng(20250808);
-  // (arity, k, bits, nrows): nrows > kMinKeysToShard in the last shape
-  // exercises the batched backend's wave path; bits=16 with k=4 fills
-  // all 64 key bits.
+  // (arity, k, bits, nrows): the 40000-row shape runs AVX2's gather and
+  // hash loops over many vectors with a ragged tail; bits=16 with k=4
+  // fills all 64 key bits.
   const int configs[][4] = {
       {1, 1, 1, 0},  {3, 2, 5, 1},    {4, 3, 7, 63},     {5, 4, 16, 1000},
       {2, 1, 20, 64}, {6, 5, 12, 257}, {3, 3, 10, 40000},
@@ -283,7 +274,7 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
 }
 
 TEST(KernelsEquivalence, AliasedFusedOpsMatch) {
-  // AndCount / AndNotCount allow dst to alias either input.
+  // AndCount allows dst to alias either input.
   Rng rng(7);
   for (int bits : {64, 127, 4096}) {
     const int nwords = WordsFor(bits);
@@ -309,8 +300,7 @@ TEST(KernelsDispatch, ParseAndNames) {
   EXPECT_EQ(Backend::kScalar, b);
   EXPECT_TRUE(kernels::ParseBackend("avx2", &b));
   EXPECT_EQ(Backend::kAvx2, b);
-  EXPECT_TRUE(kernels::ParseBackend("batched", &b));
-  EXPECT_EQ(Backend::kBatched, b);
+  EXPECT_FALSE(kernels::ParseBackend("batched", &b));
   EXPECT_FALSE(kernels::ParseBackend("gpu", &b));
   EXPECT_FALSE(kernels::ParseBackend("", &b));
   for (Backend x : kBackends) {

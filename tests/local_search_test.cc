@@ -69,5 +69,17 @@ TEST(LocalSearchTest, EvaluationBudgetRespected) {
   EXPECT_LE(res.evaluations, 102);
 }
 
+TEST(LocalSearchTest, PreCancelledTokenStopsBeforeFirstMove) {
+  for (LocalSearchMethod method :
+       {LocalSearchMethod::kHillClimbing,
+        LocalSearchMethod::kSimulatedAnnealing, LocalSearchMethod::kIterated}) {
+    LocalSearchConfig cfg = Config(method, 12);
+    cfg.cancel.Cancel();
+    LocalSearchResult res = LsGhw(CycleHypergraph(10, 2), cfg);
+    EXPECT_EQ(res.evaluations, 1);  // the starting permutation only
+    EXPECT_TRUE(IsValidOrdering(res.best, 10));
+  }
+}
+
 }  // namespace
 }  // namespace hypertree

@@ -53,5 +53,16 @@ TEST(SaigaTest, DeterministicForFixedSeed) {
   EXPECT_EQ(a.ga.best_fitness, b.ga.best_fitness);
 }
 
+TEST(SaigaTest, PreCancelledTokenStopsBeforeFirstGeneration) {
+  SaigaConfig cfg = SmallConfig(10);
+  cfg.epochs = 1000;
+  cfg.cancel.Cancel();
+  SaigaResult res = SaigaGhw(CycleHypergraph(8, 2), cfg);
+  EXPECT_EQ(res.ga.iterations, 0);
+  // Only the islands' initial populations were evaluated.
+  EXPECT_EQ(res.ga.evaluations, cfg.num_islands * cfg.island_population);
+  EXPECT_TRUE(IsValidOrdering(res.ga.best, 8));
+}
+
 }  // namespace
 }  // namespace hypertree

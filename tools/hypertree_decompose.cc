@@ -14,7 +14,7 @@
 //   --seed=N            RNG seed                                  (default 1)
 //   --output=FILE       write the witness decomposition: .td (PACE, tw
 //                       only) or .dot
-//   --kernel-backend=.. auto | scalar | avx2 | batched: bitwise kernel
+//   --kernel-backend=.. auto | scalar | avx2: bitwise kernel
 //                       backend for the search inner loops (default
 //                       auto; see docs/KERNELS.md). The kernels.*
 //                       metrics in --json report the traffic.
@@ -126,7 +126,7 @@ int Usage() {
                "minfill|portfolio] [--measure=ghw|tw|hw|fhw]\n"
                "       [--time-limit=SEC] [--threads=N] [--seed=N] "
                "[--output=FILE] [--quiet] [--json]\n"
-               "       [--kernel-backend=auto|scalar|avx2|batched]\n"
+               "       [--kernel-backend=auto|scalar|avx2]\n"
                "       [--portfolio-trace] [--portfolio-live] <instance>\n"
                "       (--algorithm is an alias for --method)\n");
   return 2;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
     if (!kernels::ParseBackend(kernel_backend, &kb)) {
       std::fprintf(stderr,
                    "error: unknown --kernel-backend \"%s\" (expected auto, "
-                   "scalar, avx2 or batched)\n",
+                   "scalar or avx2)\n",
                    kernel_backend.c_str());
       return 2;
     }
